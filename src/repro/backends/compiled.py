@@ -20,8 +20,8 @@ staggered accumulation of §III-B/Listing 1 is replayed exactly);
 cycle counts come from the same analytic contract
 :mod:`repro.backends.model` documents (the §IV-A issue rates), so
 the documented ``CYCLE_TOLERANCE`` keys apply unchanged. Lowered
-kernels are cached in the shared program cache and their closures are
-memoized per shape class, so steady-state dispatch is two dict hits.
+kernels are cached in the shared program cache, so steady-state
+dispatch is two dict hits and one replay closure per call.
 """
 
 import numpy as np
@@ -36,7 +36,7 @@ from repro.backends.model import (
     spgemm_stats,
     spvv_stats,
 )
-from repro.compiler.templates import csr_shape_class, lower
+from repro.compiler.templates import lower
 from repro.compiler.vectorize import (
     chain_from_zero,
     masked_products,
@@ -89,21 +89,24 @@ class CompiledBackend(Backend):
                           kernel.index_bits), result
 
     def _exec_csrmv(self, matrix, x, variant, index_bits=32, check=True):
-        """Lower the CsrMV program; run its shape-class closure."""
+        """Lower the CsrMV program; run its row replay closure."""
         from repro.kernels.csrmv import build_csrmv
 
         kernel = self._lower(build_csrmv, "csrmv", variant, index_bits)
         x = np.asarray(x, dtype=np.float64)
         products = matrix.vals * x[matrix.idcs]
-        reducer = kernel.row_reducer(csr_shape_class(matrix.ptr))
-        y = reducer(products, matrix.ptr, matrix.nrows)
+        y = kernel.row_reducer(matrix.ptr)(products)
         stats = csrmv_stats(matrix.row_lengths(), kernel.variant,
                             kernel.index_bits)
         return stats, y
 
     def _exec_csrmm(self, matrix, dense, variant, index_bits=32,
                     check=True):
-        """Lower the CsrMM program; run one fused pass per column."""
+        """Lower the CsrMM program; run one fused pass per column.
+
+        One replay closure serves all ``k`` columns, so the rows are
+        sorted by length once per call.
+        """
         from repro.kernels.csrmm import build_csrmm
 
         kernel = self._lower(build_csrmm, "csrmm", variant, index_bits)
@@ -112,11 +115,10 @@ class CompiledBackend(Backend):
         if k & (k - 1):
             raise ValueError(f"dense column count {k} must be a power of two")
         gathered = dense[matrix.idcs]          # (nnz, k)
-        reducer = kernel.row_reducer(csr_shape_class(matrix.ptr))
+        reducer = kernel.row_reducer(matrix.ptr)
         out = np.empty((matrix.nrows, k), dtype=np.float64)
         for c in range(k):                     # kernel iterates columns outer
-            products = matrix.vals * gathered[:, c]
-            out[:, c] = reducer(products, matrix.ptr, matrix.nrows)
+            out[:, c] = reducer(matrix.vals * gathered[:, c])
         stats = csrmm_stats(matrix.row_lengths(), k, kernel.variant,
                             kernel.index_bits)
         return stats, out
@@ -139,8 +141,7 @@ class CompiledBackend(Backend):
         leaf_ptr = np.asarray(tensor.ptrs[-1], dtype=np.int64)
         products = np.asarray(tensor.vals, dtype=np.float64) \
             * vector[np.asarray(tensor.idcs[-1], dtype=np.int64)]
-        reducer = kernel.row_reducer(csr_shape_class(leaf_ptr))
-        fiber_results = reducer(products, leaf_ptr, len(leaf_ptr) - 1)
+        fiber_results = kernel.row_reducer(leaf_ptr)(products)
         out = np.zeros(tensor.shape[:-1], dtype=np.float64)
         for node, coord in enumerate(_nonleaf_coords(tensor)):
             out[coord] = fiber_results[node]
@@ -225,8 +226,7 @@ class CompiledBackend(Backend):
         kernel = self._lower(build_csrmv, "csrmv", variant, index_bits)
         x = np.asarray(x, dtype=np.float64)
         products = matrix.vals * x[matrix.idcs]
-        reducer = kernel.row_reducer(csr_shape_class(matrix.ptr))
-        y = reducer(products, matrix.ptr, matrix.nrows)
+        y = kernel.row_reducer(matrix.ptr)(products)
         model_kwargs = {}
         if cluster is not None:  # honor a custom cluster configuration
             model_kwargs["n_workers"] = cluster.n_workers

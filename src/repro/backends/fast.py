@@ -24,14 +24,13 @@ from repro.backends.model import (
     spvv_stats,
 )
 from repro.compiler.vectorize import (
+    RowPlan,
     accumulate_rows as _accumulate_rows,
     chain_from_zero as _chain_from_zero,
-    chain_rows as _chain_rows,
     masked_products as _masked_products,
+    replay_rows,
     spgemm_numeric,
     spvv_value as _spvv_value,
-    staggered_rows as _staggered_rows,
-    tree_reduce as _tree_reduce,
 )
 from repro.core.intersect import merge_profile
 from repro.errors import ConfigError, FormatError
@@ -47,11 +46,8 @@ __all__ = [
     # moved to repro.compiler.vectorize)
     "_accumulate_rows",
     "_chain_from_zero",
-    "_chain_rows",
     "_masked_products",
     "_spvv_value",
-    "_staggered_rows",
-    "_tree_reduce",
 ]
 
 
@@ -82,7 +78,12 @@ class FastBackend(Backend):
 
     def _exec_csrmm(self, matrix, dense, variant, index_bits=32,
                     check=True):
-        """Replay the §III-B CsrMM kernel (CsrMV per dense column)."""
+        """Replay the §III-B CsrMM kernel (CsrMV per dense column).
+
+        The rows are sorted by length once (one
+        :class:`~repro.compiler.vectorize.RowPlan`) for all ``k``
+        columns.
+        """
         check_variant(variant)
         check_index_bits(index_bits)
         dense = np.asarray(dense, dtype=np.float64)
@@ -90,11 +91,11 @@ class FastBackend(Backend):
         if k & (k - 1):
             raise ValueError(f"dense column count {k} must be a power of two")
         gathered = dense[matrix.idcs]          # (nnz, k)
+        plan = RowPlan(matrix.ptr)
         out = np.empty((matrix.nrows, k), dtype=np.float64)
         for c in range(k):                     # kernel iterates columns outer
-            products = matrix.vals * gathered[:, c]
-            out[:, c] = _accumulate_rows(products, matrix.ptr, variant,
-                                         index_bits)
+            out[:, c] = replay_rows(matrix.vals * gathered[:, c], plan,
+                                    variant, index_bits)
         stats = csrmm_stats(matrix.row_lengths(), k, variant, index_bits)
         return stats, out
 

@@ -15,28 +15,20 @@ index_bits)``. Matching is therefore *exact and total*:
    cause wrong execution.
 
 A match yields a :class:`CompiledKernel` that identifies the program's
-family/variant/width and emits fused vectorized closures
-(:mod:`repro.compiler.vectorize`), memoized per shape class. No match
-raises :class:`~repro.errors.LoweringError`.
+family/variant/width and emits its fused vectorized replay closures
+(:mod:`repro.compiler.vectorize`). No match raises
+:class:`~repro.errors.LoweringError`.
 """
-
-import numpy as np
 
 from repro.compiler.decode import decode_program
 from repro.compiler.structure import recover_structure
-from repro.compiler.vectorize import (
-    accumulate_rows,
-    chain_rows,
-    staggered_rows,
-)
+from repro.compiler.vectorize import RowPlan, replay_rows
 from repro.errors import LoweringError
 from repro.isa.introspect import normalize_program
 from repro.kernels.common import (
-    BASE,
     ISSR,
     N_ACCUMULATORS,
     PROGRAM_CACHE,
-    SSR,
     VARIANTS,
 )
 
@@ -93,12 +85,11 @@ class CompiledKernel:
 
     ``family``/``variant``/``index_bits`` are *recovered* from the
     program (template identity), never taken from a caller — the
-    compiled backend derives its timing parameters from them. Closures
-    are memoized per shape class (see :func:`csr_shape_class`).
+    compiled backend derives its timing parameters from them.
     """
 
     __slots__ = ("family", "variant", "index_bits", "n_acc", "structure",
-                 "meta", "_closures")
+                 "meta")
 
     def __init__(self, family, variant, index_bits, structure, meta):
         self.family = family
@@ -107,68 +98,30 @@ class CompiledKernel:
         self.n_acc = (N_ACCUMULATORS[index_bits] if variant == ISSR else 0)
         self.structure = structure
         self.meta = meta
-        self._closures = {}
 
-    def row_reducer(self, shape_class):
-        """Fused per-row reduction closure for one CSR shape class.
+    def row_reducer(self, ptr):
+        """Fused per-row reduction closure over the CSR partition ``ptr``.
 
-        ``closure(products, ptr, nrows)`` reduces the per-element
-        products into row results in this program's exact FP order.
+        ``closure(products)`` reduces the per-element products into row
+        results in this program's exact FP order. The partition's
+        length order (:class:`~repro.compiler.vectorize.RowPlan`) is
+        built on the first call and reused by later ones, so CsrMM
+        sorts once for all its dense columns.
         """
-        fn = self._closures.get(shape_class)
-        if fn is None:
-            fn = _emit_row_reducer(self, shape_class)
-            self._closures[shape_class] = fn
-        return fn
+        variant, index_bits = self.variant, self.index_bits
+        plan = None
+
+        def reduce(products):
+            nonlocal plan
+            if plan is None:
+                plan = RowPlan(ptr)
+            return replay_rows(products, plan, variant, index_bits)
+
+        return reduce
 
     def __repr__(self):
         return (f"CompiledKernel({self.family}, {self.variant}, "
                 f"idx{self.index_bits})")
-
-
-def csr_shape_class(ptr):
-    """The shape class of a CSR row partition.
-
-    ``("uniform", L)`` when every row holds exactly ``L`` nonzeros —
-    the row loop specializes to straight vector passes with no
-    length-grouping scan; ``("general",)`` otherwise.
-    """
-    lengths = np.diff(ptr)
-    if len(lengths) and lengths.min() == lengths.max():
-        return ("uniform", int(lengths[0]))
-    return ("general",)
-
-
-def _emit_row_reducer(kernel, shape_class):
-    """Emit the fused row-reduction closure for ``shape_class``."""
-    variant, index_bits = kernel.variant, kernel.index_bits
-    if shape_class[0] != "uniform":
-        def general(products, ptr, nrows):
-            return accumulate_rows(products, ptr, variant, index_bits)
-
-        return general
-
-    length = shape_class[1]
-    n_acc = kernel.n_acc
-    if length == 0:
-        def empty(products, ptr, nrows):
-            return np.zeros(nrows, dtype=np.float64)
-
-        return empty
-    if variant in (BASE, SSR) or length < n_acc:
-        from_zero = variant in (BASE, SSR)
-
-        def uniform_chain(products, ptr, nrows):
-            starts = np.asarray(ptr[:-1], dtype=np.int64)
-            return chain_rows(products, starts, length, from_zero)
-
-        return uniform_chain
-
-    def uniform_staggered(products, ptr, nrows):
-        starts = np.asarray(ptr[:-1], dtype=np.int64)
-        return staggered_rows(products, starts, length, n_acc)
-
-    return uniform_staggered
 
 
 #: id(program) -> (program, CompiledKernel). Programs come from the

@@ -8,171 +8,181 @@ roundings), so replaying each kernel's exact accumulation order with
 IEEE-754 double operations reproduces its output to the last bit. The
 orders differ per variant (§III-B, Listing 1):
 
-- BASE/SSR accumulate each row left to right from ``0.0``;
+- BASE/SSR accumulate each row left to right from ``+0.0``;
 - ISSR short rows start from the first product (``fmul``) and chain;
 - ISSR long rows initialize ``n_acc`` accumulators with the first
   ``n_acc`` products, stagger the remaining products round-robin
-  (product ``n_acc + i`` lands on accumulator ``i % n_acc``), then
-  combine with the same balanced fadd tree the kernel emits.
+  (product ``j`` lands on accumulator ``j % n_acc``), then combine
+  with the same balanced fadd tree the kernel emits.
 
-Rows are processed grouped by nonzero count, so the work is a small
-number of NumPy passes regardless of the matrix size.
+CSR rows are replayed as one jagged diagonal (:class:`RowPlan`): rows
+sorted by length, longest first, so the rows still running at position
+``j`` are a prefix of that order and every step updates a prefix of
+the accumulators without a mask. Total work is ``nnz`` element-ops
+plus one vector step per position (one per ``n_acc`` positions while
+ISSR rows stagger), for any mix of row lengths.
+
+Every vector add runs over a multiple of 8 lanes. NumPy's AVX-512
+contiguous ``add`` returns the *second* operand's NaN in the remainder
+lanes of a length that is not a multiple of 8 (the full lanes and the
+FPU return the first's), so a dead lane is padded with ``-0.0``
+instead: ``-0.0 + x`` is ``x`` bit for bit, for every ``x``.
 """
 
 import numpy as np
 
 from repro.kernels.common import BASE, ISSR, N_ACCUMULATORS, SSR
 
+#: Vector adds are padded to a multiple of this many lanes (see the
+#: module docstring).
+LANES = 8
+
 
 def tree_reduce(acc):
-    """The kernel's balanced fadd tree over accumulator columns.
+    """The kernel's balanced fadd tree over the accumulators.
 
-    ``acc`` has shape (rows, n_acc); reduces into column 0 with the
-    exact pairing of ``emit_tree_reduction``.
+    ``acc`` has the accumulators on its first axis; reduces into
+    ``acc[0]`` (returned) with the exact pairing of
+    ``emit_tree_reduction``.
     """
-    count = acc.shape[1]
+    count = acc.shape[0]
     stride = 1
     while stride < count:
         for i in range(0, count, 2 * stride):
             j = i + stride
             if j < count:
-                acc[:, i] = acc[:, i] + acc[:, j]
+                acc[i] = acc[i] + acc[j]
         stride *= 2
-    return acc[:, 0]
+    return acc[0]
 
 
-def chain_rows(products, starts, length, from_zero):
-    """Left-to-right accumulation of same-length rows (vectorized).
+def _lanes(n, lo=0):
+    """``n`` rounded up so that lanes ``[lo, n)`` are a multiple of 8."""
+    return n + (lo - n) % LANES
 
-    ``starts`` indexes each row's first product. ``from_zero`` matches
-    the BASE/SSR kernels (accumulator cleared, first op is a MAC);
-    otherwise the first product initializes the accumulator (``fmul``).
+
+class RowPlan:
+    """The jagged-diagonal replay schedule of one CSR row partition.
+
+    ``order`` sorts the rows by length, longest first and stable
+    (``None`` when every row has the same length: the identity).
+    ``starts[i]`` is the first product of the ``i``-th row in that
+    order (zero-padded by ``LANES``), ``live[j]`` the number of rows
+    holding a product at position ``j`` and ``lanes[j]`` that count
+    rounded up to a multiple of ``LANES``. One plan serves every
+    replay over the same ``ptr`` (CsrMM replays one dense column at a
+    time).
     """
-    cols = starts[:, None] + np.arange(length)
-    p = products[cols]
-    acc = p[:, 0] + 0.0 if from_zero else p[:, 0].copy()
-    for j in range(1, length):
-        acc = p[:, j] + acc
-    return acc
 
+    __slots__ = ("nrows", "order", "starts", "live", "lanes")
 
-def staggered_rows(products, starts, length, n_acc):
-    """The ISSR long-row order: unrolled init, staggered FREP, tree."""
-    cols = starts[:, None] + np.arange(length)
-    p = products[cols]
-    acc = p[:, :n_acc].copy()
-    for i in range(length - n_acc):
-        k = i % n_acc
-        acc[:, k] = p[:, n_acc + i] + acc[:, k]
-    return tree_reduce(acc)
-
-
-def _chain_rows_ragged(padded, lengths, from_zero):
-    """Masked left-to-right chains over one padded row block.
-
-    ``padded`` holds each row's products left-justified; positions at
-    or past the row's length are junk and are frozen out with
-    ``np.where``, so every row sees exactly its own accumulation
-    chain — the same per-row op order as :func:`chain_rows`, without
-    one Python-level pass per distinct row length.
-    """
-    acc = padded[:, 0] + 0.0 if from_zero else padded[:, 0].copy()
-    # Positions below the shortest row need no mask: every row is
-    # still accumulating there, so the where (and its bool temp) is
-    # pure overhead for the dense prefix.
-    min_len = int(lengths.min())
-    for j in range(1, min_len):
-        acc = padded[:, j] + acc
-    for j in range(max(min_len, 1), padded.shape[1]):
-        acc = np.where(j < lengths, padded[:, j] + acc, acc)
-    return acc
-
-
-def _staggered_rows_ragged(padded, lengths, n_acc):
-    """Masked ISSR long-row order over one padded row block.
-
-    Every row in the block has ``length >= n_acc``; shorter and longer
-    rows share the block, with each row's staggered FREP cut off at
-    its own length (junk updates are masked away before they land).
-    """
-    acc = padded[:, :n_acc].copy()
-    total = padded.shape[1] - n_acc
-    # Unmasked dense prefix: below the shortest row's length every
-    # row's FREP is still running, so no freeze-out is needed.
-    live = min(int(lengths.min()) - n_acc, total)
-    for i in range(live):
-        k = i % n_acc
-        acc[:, k] = padded[:, n_acc + i] + acc[:, k]
-    for i in range(max(live, 0), total):
-        k = i % n_acc
-        acc[:, k] = np.where(n_acc + i < lengths,
-                             padded[:, n_acc + i] + acc[:, k], acc[:, k])
-    return tree_reduce(acc)
-
-
-#: Padded-block memory cap: fall back to per-length grouping when the
-#: dense (rows x max_length) product table would exceed this multiple
-#: of the actual nonzero count (degenerately skewed rows).
-_PAD_WASTE_FACTOR = 8
+    def __init__(self, ptr):
+        ptr = np.asarray(ptr, dtype=np.int64)
+        lengths = np.diff(ptr)
+        self.nrows = nrows = len(lengths)
+        max_len = int(lengths.max()) if nrows else 0
+        if nrows and lengths.min() < max_len:
+            # small unsigned keys take NumPy's O(n) radix sort
+            key = (max_len - lengths).astype(np.min_scalar_type(max_len))
+            self.order = np.argsort(key, kind="stable")
+            starts = ptr[:-1][self.order]
+            live = nrows - np.cumsum(np.bincount(lengths)[:max_len])
+        else:
+            self.order = None
+            starts = ptr[:-1]
+            live = np.full(max_len, nrows, dtype=np.int64)
+        self.starts = np.concatenate([starts, np.zeros(LANES, np.int64)])
+        self.live = live
+        self.lanes = (-(-live // LANES) * LANES).tolist()
 
 
 def accumulate_rows(products, ptr, variant, index_bits):
-    """Per-row reduction of ``products`` in the kernel's exact order.
+    """Per-row reduction of ``products`` in the kernel's exact order."""
+    return replay_rows(products, RowPlan(ptr), variant, index_bits)
 
-    Rows are reduced together in one padded masked pass bounded by the
-    longest row — O(max row length) vectorized steps total, instead of
-    one Python pass per distinct row length — with bit-identical
-    per-row accumulation order. Degenerately skewed matrices (one huge
-    row amid many short ones) fall back to the per-length grouping so
-    the padded table cannot blow up memory.
+
+def replay_rows(products, plan, variant, index_bits):
+    """Per-row reduction of ``products`` over ``plan`` (a :class:`RowPlan`).
+
+    Accumulators live in sorted-row order, one row of lanes per
+    accumulator: BASE/SSR keep one from ``+0.0``; ISSR keeps
+    ``n_acc`` from ``-0.0``, so the lanes a short row never uses add
+    nothing in the tree. Positions are gathered position-major in
+    blocks of at least one cache line per row (``LANES`` positions),
+    more while the block fits one accumulator row; ``n_acc``
+    consecutive staggered positions (one per accumulator) step in one
+    add.
     """
-    lengths = np.diff(ptr)
-    nrows = len(lengths)
-    y = np.zeros(nrows, dtype=np.float64)
-    if nrows == 0:
+    y = np.zeros(plan.nrows, dtype=np.float64)
+    live, lanes, starts = plan.live, plan.lanes, plan.starts
+    max_len = len(lanes)
+    if not max_len:
         return y
-    starts_all = np.asarray(ptr[:-1], dtype=np.int64)
     n_acc = N_ACCUMULATORS[index_bits] if variant == ISSR else 0
-    max_len = int(lengths.max())
-    if max_len == 0:
-        return y
-    if nrows * max_len > max(_PAD_WASTE_FACTOR * len(products), 4096):
-        return _accumulate_rows_grouped(products, lengths, starts_all, y,
-                                        variant, n_acc)
-    cols = starts_all[:, None] + np.arange(max_len)
-    np.clip(cols, 0, len(products) - 1, out=cols)  # junk lanes, masked off
-    padded = products[cols]
-    if variant in (BASE, SSR):
-        live = np.nonzero(lengths > 0)[0]
-        y[live] = _chain_rows_ragged(padded[live], lengths[live],
-                                     from_zero=True)
-        return y
-    short = np.nonzero((lengths > 0) & (lengths < n_acc))[0]
-    if len(short):
-        y[short] = _chain_rows_ragged(padded[short], lengths[short],
-                                      from_zero=False)
-    long = np.nonzero(lengths >= n_acc)[0]
-    if len(long):
-        y[long] = _staggered_rows_ragged(padded[long], lengths[long], n_acc)
+    m = max(n_acc, 1)
+    width = plan.nrows + LANES
+    acc = np.full((m, width), -0.0 if n_acc else 0.0)
+    pos = n_long = 0
+    if n_acc:
+        pos, n_long = _issr_head(products, plan, acc, n_acc)
+    while pos < max_len:
+        # pos is a multiple of m, so every block but the last holds
+        # whole groups of m positions
+        hi = lanes[pos]
+        end = min(pos + max(width // hi, LANES) // m * m, max_len)
+        block = products.take(starts[:hi] + np.arange(pos, end)[:, None],
+                              mode="clip")
+        n = live[pos]
+        if live[end - 1] < n:
+            np.copyto(block, -0.0, where=np.arange(hi) >= live[pos:end, None])
+        elif n < hi:
+            block[:, n:] = -0.0
+        j = pos
+        while j < end:
+            h = lanes[j]
+            k = j % m
+            step = m if k == 0 and j + m <= end else 1
+            rows = acc[k:k + step, :h]
+            np.add(block[j - pos:j - pos + step, :h], rows, out=rows)
+            j += step
+        pos = end
+    if n_acc:
+        tree_reduce(acc[:, :_lanes(n_long)])
+    n = live[0]
+    if plan.order is None:
+        y[:n] = acc[0, :n]
+    else:
+        y[plan.order[:n]] = acc[0, :n]
     return y
 
 
-def _accumulate_rows_grouped(products, lengths, starts_all, y, variant,
-                             n_acc):
-    """Per-distinct-length grouping (the skew-safe fallback path)."""
-    for length in np.unique(lengths):
-        length = int(length)
-        if length == 0:
-            continue
-        rows = np.nonzero(lengths == length)[0]
-        starts = starts_all[rows]
-        if variant in (BASE, SSR):
-            y[rows] = chain_rows(products, starts, length, from_zero=True)
-        elif length < n_acc:
-            y[rows] = chain_rows(products, starts, length, from_zero=False)
-        else:
-            y[rows] = staggered_rows(products, starts, length, n_acc)
-    return y
+def _issr_head(products, plan, acc, n_acc):
+    """ISSR positions below ``n_acc``; returns ``(next position, n_long)``.
+
+    Long rows (at least ``n_acc`` products, the first ``n_long`` of the
+    order) seed accumulator ``j`` with product ``j`` (the unrolled
+    init); short rows start accumulator 0 from their first product
+    (``fmul``) and chain the rest onto it.
+    """
+    live, starts = plan.live, plan.starts
+    first = min(n_acc, len(live))
+    n_long = int(live[n_acc - 1]) if len(live) >= n_acc else 0
+    if n_long:
+        acc[:, :n_long] = products.take(
+            starts[:n_long] + np.arange(n_acc)[:, None])
+    n = int(live[0])
+    if n > n_long:
+        acc[0, n_long:n] = products.take(starts[n_long:n])
+    for j in range(1, first):
+        n = int(live[j])
+        if n <= n_long:
+            break
+        hi = _lanes(n, n_long)
+        p = products.take(starts[n_long:hi] + j, mode="clip")
+        p[n - n_long:] = -0.0
+        lanes = acc[0, n_long:hi]
+        np.add(p, lanes, out=lanes)
+    return first, n_long
 
 
 def masked_products(a_idcs, a_vals, b_idcs, b_vals):
@@ -246,9 +256,9 @@ def spvv_value(products, variant, index_bits):
             acc = p + acc
         return float(acc)
     n_acc = N_ACCUMULATORS[index_bits]
-    acc = np.zeros((1, n_acc), dtype=np.float64)
+    acc = np.zeros(n_acc, dtype=np.float64)
     # chunked round-robin: element i lands on accumulator i % n_acc
     for c in range(0, nnz, n_acc):
         chunk = products[c:c + n_acc]
-        acc[0, :len(chunk)] = chunk + acc[0, :len(chunk)]
-    return float(tree_reduce(acc)[0])
+        acc[:len(chunk)] = chunk + acc[:len(chunk)]
+    return float(tree_reduce(acc))

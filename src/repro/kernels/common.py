@@ -23,7 +23,9 @@ sums than at 2/3.
 import os
 from collections import OrderedDict
 
-from repro.errors import ConfigError
+import numpy as np
+
+from repro.errors import ConfigError, SimulationError
 from repro.isa.isa import CSR_SSR  # noqa: F401  (re-exported for kernel modules)
 
 #: Kernel variants evaluated in the paper (§III-B).
@@ -131,6 +133,32 @@ def check_variant(variant):
 def check_index_bits(index_bits):
     if index_bits not in (16, 32):
         raise ConfigError(f"unsupported index width {index_bits}")
+
+
+def check_row_sums(got, expect, products, ptr, what):
+    """Self-check a simulated CSR kernel result against its reference.
+
+    ``products`` holds each nonzero's products (one column per dense
+    column for CsrMM) and ``ptr`` the row partition. The kernels only
+    reorder each row's sum, so every entry must match the reference up
+    to rounding, NaN equal to NaN. The one exception is an entry whose
+    finite products' magnitudes sum past the largest double: such a
+    sum overflows in some orders and not in others, so it has no
+    order-independent value. Raises
+    :class:`~repro.errors.SimulationError` on any other mismatch.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        magnitude = np.where(np.isfinite(products), np.abs(products), 0.0)
+        bound = np.zeros(got.shape)
+        for r in range(len(ptr) - 1):
+            bound[r] = magnitude[ptr[r]:ptr[r + 1]].sum(axis=0)
+        close = np.isclose(got, expect, rtol=1e-9, atol=1e-9,
+                           equal_nan=True)
+        bad = ~close & np.isfinite(bound)
+    if bad.any():
+        raise SimulationError(
+            f"{what} mismatch at {np.argwhere(bad)[:4].tolist()} (max err "
+            f"{np.abs(got - expect)[bad].max()})")
 
 
 def emit_tree_reduction(builder, base, count):

@@ -52,8 +52,8 @@ def run_pipeline_fast(pipeline, partition, shards, n_iters, hbm,
     """Execute one pipeline functionally; see the module docstring.
 
     ``csrmv_reduce(matrix, products)`` optionally overrides the CsrMV
-    row reduction (the compiled executor injects its lowered shape-
-    class closures here); the default replays through
+    row reduction (the compiled executor injects its lowered replay
+    closure here); the default replays through
     :func:`~repro.compiler.vectorize.accumulate_rows`. Both choices
     are bit-identical — the override only changes *how* the exact
     order is replayed. ``backend_label`` names the executor in the

@@ -209,7 +209,7 @@ def stream_spvv(indices, values, x, *, chunk_nnz=1 << 16, variant="issr",
     n_acc = N_ACCUMULATORS[index_bits]
     chunks = _spvv_chunks(nnz, chunk_nnz, n_acc) if nnz else []
     acc_scalar = 0.0
-    acc = np.zeros((1, n_acc), dtype=np.float64)
+    acc = np.zeros(n_acc, dtype=np.float64)
     compute, dma = [], []
     stats = StreamStats()
     for i, (c0, c1) in enumerate(chunks):
@@ -221,7 +221,7 @@ def stream_spvv(indices, values, x, *, chunk_nnz=1 << 16, variant="issr",
         else:
             for c in range(0, len(products), n_acc):
                 chunk = products[c:c + n_acc]
-                acc[0, :len(chunk)] = chunk + acc[0, :len(chunk)]
+                acc[:len(chunk)] = chunk + acc[:len(chunk)]
         words = 2 * (c1 - c0)  # value + index words
         if ledger is not None:
             ledger.record(pass_id, ("chunk", i), words, IN)
@@ -232,7 +232,7 @@ def stream_spvv(indices, values, x, *, chunk_nnz=1 << 16, variant="issr",
     if variant in (BASE, SSR):
         result = float(acc_scalar)
     else:
-        result = float(tree_reduce(acc)[0])
+        result = float(tree_reduce(acc))
     stats.tiles = len(chunks)
     stats.tile_bounds = list(chunks)
     stats.compute_cycles = sum(compute)

@@ -7,11 +7,13 @@ tolerance (``repro.backends.CYCLE_TOLERANCE`` relative +
 ``CYCLE_SLACK`` absolute).
 """
 
+import math
 import os
 
 import numpy as np
 import pytest
 
+from repro import api
 from repro.backends import (
     BACKENDS,
     CycleBackend,
@@ -20,9 +22,10 @@ from repro.backends import (
     cycles_within_tolerance,
     get_backend,
 )
-from repro.errors import ConfigError, DeadlockError
+from repro.errors import ConfigError, DeadlockError, SimulationError
 from repro.formats.csf import CsfTensor
-from repro.kernels.common import PROGRAM_CACHE, ProgramCache
+from repro.formats.csr import CsrMatrix
+from repro.kernels.common import PROGRAM_CACHE, ProgramCache, check_row_sums
 from repro.sim.engine import Engine
 from repro.workloads import (
     get_spec,
@@ -123,6 +126,68 @@ class TestCsrmmParity:
         with pytest.raises(ValueError):
             fast.run("csrmm", variant="issr", index_bits=16, matrix=matrix,
                      dense=random_dense_matrix(16, 3, seed=1))
+
+
+#: Values placed in the dense operand by the non-finite battery.
+NON_FINITE = [math.inf, -math.inf, math.nan, -0.0, 1e308, -1e308]
+VARIANT_POINTS = [("base", 32), ("ssr", 32), ("issr", 32), ("issr", 16)]
+
+
+def _non_finite_case(seed, k=None):
+    """A 9-17-row CSR with 0-23 nonzeros a row over 24 columns, and a
+    dense operand (a vector, or ``k`` columns) holding infinities, NaN,
+    ``-0.0`` and ``±1e308``: rows then mix NaNs of both signs (``nan``
+    times a value, ``inf - inf``) across live prefixes of any width."""
+    rng = np.random.default_rng(seed)
+    nrows, ncols = int(rng.integers(9, 18)), 24
+    lengths = rng.integers(0, 24, nrows)
+    ptr = np.concatenate(([0], np.cumsum(lengths)))
+    idcs = np.concatenate([np.sort(rng.choice(ncols, n, replace=False))
+                           for n in lengths]).astype(np.int64)
+    matrix = CsrMatrix(ptr, idcs, rng.standard_normal(int(ptr[-1])),
+                       (nrows, ncols))
+    shape = (ncols,) if k is None else (ncols, k)
+    dense = rng.standard_normal(shape)
+    flat = dense.reshape(-1)
+    spots = rng.choice(flat.size, size=flat.size // 3, replace=False)
+    flat[spots] = rng.choice(NON_FINITE, size=len(spots))
+    return matrix, dense
+
+
+class TestNonFiniteParity:
+    """Result bytes agree across cycle, fast and compiled on IEEE
+    specials, NaN payloads included (the cycle self-check is on)."""
+
+    @pytest.mark.parametrize("variant,bits", VARIANT_POINTS)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_csrmv(self, variant, bits, seed):
+        matrix, x = _non_finite_case(seed)
+        results = [api.run("csrmv", backend=name, variant=variant,
+                           index_bits=bits, matrix=matrix, x=x)[1]
+                   for name in ("cycle", "fast", "compiled")]
+        assert np.isnan(results[0]).any()
+        assert len({y.tobytes() for y in results}) == 1
+
+    @pytest.mark.parametrize("variant,bits", VARIANT_POINTS)
+    def test_csrmm(self, variant, bits):
+        matrix, dense = _non_finite_case(99, k=4)
+        results = [api.run("csrmm", backend=name, variant=variant,
+                           index_bits=bits, matrix=matrix, dense=dense)[1]
+                   for name in ("cycle", "fast", "compiled")]
+        assert np.isnan(results[0]).any()
+        assert len({c.tobytes() for c in results}) == 1
+
+    def test_self_check_flags_only_real_mismatches(self):
+        """NaN matches NaN; an order-dependent overflow is exempt; a
+        wrong finite value raises ``SimulationError``, not an assert."""
+        ptr = np.array([0, 2, 4, 5])
+        products = np.array([math.nan, 1.0, 1e308, 1e308, 2.0])
+        expect = np.array([math.nan, math.inf, 2.0])
+        check_row_sums(np.array([math.nan, 1e308, 2.0]), expect, products,
+                       ptr, "probe")
+        with pytest.raises(SimulationError, match="probe mismatch"):
+            check_row_sums(np.array([math.nan, math.inf, 2.5]), expect,
+                           products, ptr, "probe")
 
 
 class TestTtvParity:

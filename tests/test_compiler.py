@@ -5,12 +5,17 @@ structure recovery only *prune* the template search; the gate to
 execution is exact equality of the normalized instruction stream
 against a canonical builder's output. These tests pin each pass —
 every assembled kernel program must lower back to its own identity,
-foreign programs must fail loudly, and the shape-class closures must
-replay the fast backend's exact FP order.
+foreign programs must fail loudly, and the replay closures must
+reproduce the kernels' exact FP order — checked against an
+independent pure-Python per-row replay of Listing 1.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.compiler import (
     CompiledKernel,
@@ -19,10 +24,10 @@ from repro.compiler import (
     lower,
     recover_structure,
 )
-from repro.compiler.templates import csr_shape_class
+from repro.compiler.vectorize import RowPlan, accumulate_rows
 from repro.isa.introspect import fingerprint, normalize_program
 from repro.isa.program import ProgramBuilder
-from repro.kernels.common import PROGRAM_CACHE
+from repro.kernels.common import N_ACCUMULATORS, PROGRAM_CACHE
 from repro.kernels.csrmv import build_csrmv
 from repro.kernels.csrmm import build_csrmm
 from repro.kernels.masked import build_masked_csrmv, build_masked_spvv
@@ -110,22 +115,61 @@ class TestLowering:
             lower(b.build())
 
 
+def listing1_rows(products, ptr, variant, index_bits):
+    """Pure-Python per-row replay of the CsrMV kernels (§III-B, Listing 1).
+
+    One row at a time, one Python float operation per FPU operation:
+    BASE/SSR chain from ``+0.0``; ISSR rows shorter than ``n_acc`` start
+    from their first product (``fmul``) and chain; longer rows seed
+    ``n_acc`` accumulators, stagger product ``j`` onto accumulator
+    ``j % n_acc`` and combine them with the balanced fadd tree. Shares
+    no code with :mod:`repro.compiler.vectorize`.
+    """
+    n_acc = N_ACCUMULATORS[index_bits] if variant == "issr" else 0
+    out = []
+    for r in range(len(ptr) - 1):
+        row = [float(p) for p in products[int(ptr[r]):int(ptr[r + 1])]]
+        if not row:
+            out.append(0.0)
+        elif not n_acc or len(row) < n_acc:
+            acc = 0.0 if not n_acc else row.pop(0)
+            for p in row:
+                acc = p + acc
+            out.append(acc)
+        else:
+            acc = row[:n_acc]
+            for j in range(n_acc, len(row)):
+                acc[j % n_acc] = row[j] + acc[j % n_acc]
+            stride = 1
+            while stride < n_acc:
+                for i in range(0, n_acc - stride, 2 * stride):
+                    acc[i] = acc[i] + acc[i + stride]
+                stride *= 2
+            out.append(acc[0])
+    return np.array(out, dtype=np.float64)
+
+
 class TestShapeClasses:
     def test_uniform_vs_general(self):
-        uniform = np.array([0, 4, 8, 12], dtype=np.int64)
-        ragged = np.array([0, 3, 8, 12], dtype=np.int64)
-        empty = np.array([0, 0, 0], dtype=np.int64)
-        assert csr_shape_class(uniform) == ("uniform", 4)
-        assert csr_shape_class(ragged) == ("general",)
-        assert csr_shape_class(empty) == ("uniform", 0)
+        """Equal lengths keep the identity order; ragged rows sort."""
+        uniform = RowPlan(np.array([0, 4, 8, 12], dtype=np.int64))
+        assert uniform.order is None
+        assert uniform.live.tolist() == [3, 3, 3, 3]
+        ragged = RowPlan(np.array([0, 3, 8, 8, 13], dtype=np.int64))
+        # longest first, stable among equal lengths
+        assert ragged.order.tolist() == [1, 3, 0, 2]
+        assert ragged.live.tolist() == [3, 3, 3, 2, 2]
+        assert ragged.lanes == [8] * 5
+        assert ragged.starts[:4].tolist() == [3, 8, 0, 8]
+        empty = RowPlan(np.array([0, 0, 0], dtype=np.int64))
+        assert empty.live.tolist() == []
+        assert RowPlan(np.array([0], dtype=np.int64)).nrows == 0
 
     @pytest.mark.parametrize("variant,bits", ALL_VARIANTS)
     @pytest.mark.parametrize("shape", ["uniform_short", "uniform_long",
                                        "ragged", "empty"])
     def test_closures_replay_the_exact_fp_order(self, variant, bits, shape):
-        """Every shape-class closure == the fast backend's reduction."""
-        from repro.backends.fast import _accumulate_rows
-
+        """Every lowered closure == the pure-Python Listing-1 replay."""
         rng = np.random.default_rng(hash((variant, bits, shape)) % 2**32)
         if shape == "uniform_short":
             ptr = np.arange(0, 5 * 3, 3, dtype=np.int64)
@@ -140,13 +184,107 @@ class TestShapeClasses:
 
         program, _ = build_csrmv(variant, bits)
         kernel = lower(program)
-        reducer = kernel.row_reducer(csr_shape_class(ptr))
-        got = reducer(products, ptr, len(ptr) - 1)
-        want = _accumulate_rows(products, ptr, variant, bits)
+        got = kernel.row_reducer(ptr)(products)
+        want = listing1_rows(products, ptr, variant, bits)
         assert got.tobytes() == want.tobytes()
 
-    def test_closures_are_memoized_per_shape_class(self):
+    def test_closure_plans_once_per_partition(self, monkeypatch):
+        """One closure sorts its partition once for every replay (CsrMM)."""
+        import repro.compiler.templates as templates
+
+        plans = []
+
+        class CountingPlan(RowPlan):
+            __slots__ = ()
+
+            def __init__(self, ptr):
+                plans.append(ptr)
+                super().__init__(ptr)
+
+        monkeypatch.setattr(templates, "RowPlan", CountingPlan)
         program, _ = build_csrmv("issr", 16)
-        kernel = lower(program)
-        assert kernel.row_reducer(("general",)) \
-            is kernel.row_reducer(("general",))
+        ptr = np.array([0, 2, 9, 9, 30], dtype=np.int64)
+        reducer = lower(program).row_reducer(ptr)
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            products = rng.standard_normal(30)
+            got = reducer(products)
+            want = listing1_rows(products, ptr, "issr", 16)
+            assert got.tobytes() == want.tobytes()
+        assert len(plans) == 1
+
+
+#: Products the replay battery draws from, beside ordinary floats:
+#: signed zeros, infinities, the smallest and a large subnormal, and
+#: values whose sums overflow.
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+           2.2250738585072e-309, 1e308, -1e308]
+
+
+@st.composite
+def ragged_rows(draw, nan=False):
+    """(products, ptr, variant, bits) over a ragged CSR partition.
+
+    Row lengths mix empty rows, lengths around the accumulator count
+    (``n_acc - 1``, ``n_acc``, ``n_acc + 1``) and free lengths; up to
+    40 rows give live prefixes on both sides of every multiple of 8.
+    Products are drawn from a seed: half special values, half floats
+    over a wide range of magnitudes.
+    """
+    variant, bits = draw(st.sampled_from(ALL_VARIANTS))
+    n_acc = N_ACCUMULATORS[bits]
+    length = st.one_of(st.sampled_from([0, n_acc - 1, n_acc, n_acc + 1]),
+                       st.integers(0, 40))
+    lengths = draw(st.lists(length, max_size=40))
+    ptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    nnz = int(ptr[-1])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array(SPECIAL + [math.nan] * nan)
+    plain = rng.standard_normal(nnz) * 10.0 ** rng.integers(-30, 30, nnz)
+    products = np.where(rng.random(nnz) < 0.5, rng.choice(pool, nnz), plain)
+    return products, ptr, variant, bits
+
+
+class TestReplayOracle:
+    """The vectorized replay against the pure-Python Listing-1 replay."""
+
+    @given(ragged_rows())
+    @settings(max_examples=150, deadline=None)
+    @example((np.zeros(0), np.zeros(1, dtype=np.int64), "issr", 16))
+    @example((np.zeros(0), np.zeros(12, dtype=np.int64), "base", 32))
+    def test_bits_match_listing1(self, case):
+        products, ptr, variant, bits = case
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = accumulate_rows(products, ptr, variant, bits)
+            want = listing1_rows(products, ptr, variant, bits)
+        assert got.tobytes() == want.tobytes()
+
+    @given(ragged_rows(nan=True))
+    @settings(max_examples=100, deadline=None)
+    def test_nan_positions_match_listing1(self, case):
+        """NaN inputs: same NaN rows, same bits everywhere else.
+
+        Python's ``+`` picks between two NaN operands differently from
+        NumPy, so NaN payloads are checked across backends instead
+        (``tests/test_backends.py``).
+        """
+        products, ptr, variant, bits = case
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = accumulate_rows(products, ptr, variant, bits)
+            want = listing1_rows(products, ptr, variant, bits)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @pytest.mark.parametrize("variant,bits", ALL_VARIANTS)
+    def test_one_long_row_amid_short_ones(self, variant, bits):
+        """A 3000-long row beside short and empty rows (power-law skew)."""
+        rng = np.random.default_rng(7)
+        lengths = rng.integers(0, 12, size=60)
+        lengths[17] = 3000
+        ptr = np.concatenate(([0], np.cumsum(lengths)))
+        products = rng.standard_normal(int(ptr[-1]))
+        products[rng.integers(0, len(products), 40)] = -0.0
+        got = accumulate_rows(products, ptr, variant, bits)
+        want = listing1_rows(products, ptr, variant, bits)
+        assert got.tobytes() == want.tobytes()
